@@ -261,6 +261,80 @@ let sb_json ~time_limit ~reps entries =
         ("points", List (List.map point_json entries));
       ])
 
+(* ---------------- paper-grid scoreboard (scoreboard-xl) ---------------- *)
+
+(* The paper's own grid size: r=110 rules at C=200 on k16 p1024 and on
+   k32 p2048, the latter about 255K variables and 223K rows before
+   presolve.  Full mode only: a k32 solve takes seconds and close to
+   1 GB, too much for the smoke and quick lanes.  Each point also
+   records the pivots and refactorizations of its LP calls from the
+   simplex counters, so ms/pivot tracks the per-pivot cost of the root
+   LP that dominates these solves. *)
+let xl_points ~smoke ~quick =
+  let fam ~k ~paths =
+    { Workload.default with Workload.k; rules = 110; paths; capacity = 200 }
+  in
+  if smoke || quick then []
+  else
+    [
+      ("xl k16 r110 p1024 C200", fam ~k:16 ~paths:1024);
+      ("xl k32 r110 p2048 C200", fam ~k:32 ~paths:2048);
+    ]
+
+(* Far above the solve times, so a point's status never depends on the
+   host's speed. *)
+let xl_time_limit = 600.0
+
+let c_pivots = Telemetry.Metrics.counter "sdnplace_simplex_pivots_total"
+
+let c_refactor =
+  Telemetry.Metrics.counter "sdnplace_simplex_refactorizations_total"
+
+type xl_run = { x_run : sb_run; x_pivots : int; x_refactors : int }
+
+let run_xl inst =
+  let p0 = Telemetry.Metrics.counter_value c_pivots in
+  let f0 = Telemetry.Metrics.counter_value c_refactor in
+  let r = run_scoreboard_once ~time_limit:xl_time_limit inst in
+  {
+    x_run = r;
+    x_pivots = Telemetry.Metrics.counter_value c_pivots - p0;
+    x_refactors = Telemetry.Metrics.counter_value c_refactor - f0;
+  }
+
+let ms_per_pivot x =
+  if x.x_pivots = 0 then None
+  else Some (1000.0 *. x.x_run.b_lp_s /. float_of_int x.x_pivots)
+
+let xl_json entries =
+  let point_json (name, (f : Workload.family), x) =
+    let r = x.x_run in
+    Harness.(
+      Obj
+        [
+          ("point", Str name);
+          ("k", Int f.Workload.k);
+          ("rules", Int f.Workload.rules);
+          ("paths", Int f.Workload.paths);
+          ("capacity", Int f.Workload.capacity);
+          ("seed", Int f.Workload.seed);
+          ("status", Str (status_short r.b_status));
+          ("objective", opt (fun o -> Float o) r.b_objective);
+          ("wall_s", Float r.b_wall);
+          ("lp_s", Float r.b_lp_s);
+          ("pivots", Int x.x_pivots);
+          ("refactorizations", Int x.x_refactors);
+          ("ms_per_pivot", opt (fun v -> Float v) (ms_per_pivot x));
+        ])
+  in
+  Harness.(
+    Obj
+      [
+        ("time_limit_s", Float xl_time_limit);
+        ("reps", Int 1);
+        ("points", List (List.map point_json entries));
+      ])
+
 let run ~title ~smoke ~quick ~time_limit ~json_path () =
   let points = sweep_points ~smoke ~quick in
   let reps = 3 in
@@ -385,6 +459,36 @@ let run ~title ~smoke ~quick ~time_limit ~json_path () =
            | None -> "-");
          ])
        scoreboard);
+  let xl =
+    List.map
+      (fun (name, f) -> (name, f, run_xl (Workload.build f)))
+      (xl_points ~smoke ~quick)
+  in
+  if xl <> [] then
+    Harness.print_table ~title:"Paper-grid scoreboard (scoreboard-xl)"
+      ~headers:
+        [
+          "point"; "status"; "wall"; "lp s"; "pivots"; "refactors"; "ms/pivot";
+          "objective";
+        ]
+      (List.map
+         (fun (name, _, x) ->
+           let r = x.x_run in
+           [
+             name;
+             Harness.status_short r.b_status;
+             Harness.sec r.b_wall;
+             Harness.sec r.b_lp_s;
+             string_of_int x.x_pivots;
+             string_of_int x.x_refactors;
+             (match ms_per_pivot x with
+             | Some v -> Printf.sprintf "%.2f" v
+             | None -> "-");
+             (match r.b_objective with
+             | Some o -> Printf.sprintf "%.0f" o
+             | None -> "-");
+           ])
+         xl);
   (* Machine-readable dump. *)
   let point_json (p, dense, sparse) =
     let f = p.p_family in
@@ -412,19 +516,22 @@ let run ~title ~smoke ~quick ~time_limit ~json_path () =
   Harness.(
     write_json ~path:json_path
       (Obj
-         [
-           ("experiment", Str "lp_engine_comparison");
-           ( "mode",
-             Str (if smoke then "smoke" else if quick then "quick" else "full")
-           );
-           ("time_limit_s", Float time_limit);
-           ("reps", Int reps);
-           ("points", List (List.map point_json results));
-           ("scoreboard", sb_json ~time_limit ~reps:sb_reps scoreboard);
-           ("geomean_speedup", Float wall_geo);
-           ("geomean_lp_speedup", Float lp_geo);
-           ("differential_failures", Int mismatches);
-         ]));
+         ([
+            ("experiment", Str "lp_engine_comparison");
+            ( "mode",
+              Str (if smoke then "smoke" else if quick then "quick" else "full")
+            );
+            ("time_limit_s", Float time_limit);
+            ("reps", Int reps);
+            ("points", List (List.map point_json results));
+            ("scoreboard", sb_json ~time_limit ~reps:sb_reps scoreboard);
+          ]
+         @ (if xl = [] then [] else [ ("scoreboard-xl", xl_json xl) ])
+         @ [
+             ("geomean_speedup", Float wall_geo);
+             ("geomean_lp_speedup", Float lp_geo);
+             ("differential_failures", Int mismatches);
+           ])));
   (* Verdict for the CI canary: LP-time ratio, because on smoke-sized
      instances the shared pipeline overhead dominates wall clock and the
      wall ratio is mostly noise. *)

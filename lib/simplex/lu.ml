@@ -27,9 +27,20 @@ type t = {
   lt_ptr : int array;
   lt_tgt : int array;
   lt_val : float array;
-  z : float array;  (** scratch, row space *)
-  s : float array;  (** scratch, slot space *)
-  ux : float array;  (** scratch, per-step accumulator for the U solve *)
+  (* Inverse pivot maps, so a solve can start from the nonzeros of its
+     right-hand side and follow the transpose indices above step to
+     step instead of looping over all m steps. *)
+  step_of_row : int array;  (** row -> the step pivoting on it *)
+  step_of_slot : int array;  (** slot -> the step whose pivot column it is *)
+  (* Scratch.  [z], [s] and [ux] are all zero between solves. *)
+  z : float array;  (** row space *)
+  s : float array;  (** slot space *)
+  ux : float array;  (** per-step accumulator for the U solve *)
+  heap : int array;  (** binary min-heap of step keys *)
+  mutable hn : int;
+  mark : int array;  (** step -> generation that queued it *)
+  mutable gen : int;
+  reach : int array;  (** steps a first pass left nonzero *)
   nnz : int;
 }
 
@@ -45,7 +56,7 @@ let abs_tol = 1e-11
    so each update is array reads, never a hash probe.  All scans and
    tie-breaks are index-ordered, keeping the factorization
    deterministic. *)
-let factor ~m col =
+let factor ?reuse ~m col =
   (* Row storage. *)
   let rlen = Array.make m 0 in
   let rcol = Array.make m [||] in
@@ -370,6 +381,26 @@ let factor ~m col =
           lnext.(i) <- q + 1)
         st.l_idx)
     steps;
+  let step_of_row = Array.make m 0 and step_of_slot = Array.make m 0 in
+  (* The scratch is zero between solves and the marks stay below the
+     generation counter, so both carry over to the new factors. *)
+  let z, s, ux, heap, mark, gen, reach =
+    match reuse with
+    | Some r when r.m = m -> (r.z, r.s, r.ux, r.heap, r.mark, r.gen, r.reach)
+    | _ ->
+      ( Array.make m 0.0,
+        Array.make m 0.0,
+        Array.make m 0.0,
+        Array.make m 0,
+        Array.make m 0,
+        0,
+        Array.make m 0 )
+  in
+  Array.iteri
+    (fun k st ->
+      step_of_row.(st.pr) <- k;
+      step_of_slot.(st.pc) <- k)
+    steps;
   {
     m;
     steps;
@@ -379,78 +410,287 @@ let factor ~m col =
     lt_ptr;
     lt_tgt;
     lt_val;
-    z = Array.make m 0.0;
-    s = Array.make m 0.0;
-    ux = Array.make m 0.0;
+    step_of_row;
+    step_of_slot;
+    z;
+    s;
+    ux;
+    heap;
+    hn = 0;
+    mark;
+    gen;
+    reach;
     nnz = !nnz;
   }
 
 let nnz t = t.nnz
 
-(* Solve B x = b:  (E_{m-1} ... E_0) B = U, so z = E b then U x = z.
-   Both passes spend flops only where values are nonzero: the L pass
-   skips steps whose pivot-row value is zero, and the U pass pushes each
-   resolved component through the transpose index instead of pulling
-   over every stored U entry. *)
-let ftran t ~b ~x =
-  let m = t.m in
-  let z = t.z in
-  Array.blit b 0 z 0 m;
-  for k = 0 to m - 1 do
-    let st = t.steps.(k) in
-    let zr = z.(st.pr) in
-    if zr <> 0.0 then
-      for p = 0 to Array.length st.l_idx - 1 do
-        z.(st.l_idx.(p)) <- z.(st.l_idx.(p)) -. (st.l_val.(p) *. zr)
-      done
-  done;
-  let ux = t.ux in
-  for k = 0 to m - 1 do
-    ux.(k) <- z.(t.steps.(k).pr)
-  done;
-  for k = m - 1 downto 0 do
-    let st = t.steps.(k) in
-    let acc = ux.(k) in
-    if acc = 0.0 then x.(st.pc) <- 0.0
-    else begin
-      let xv = acc /. st.u_piv in
-      x.(st.pc) <- xv;
-      for p = t.ut_ptr.(st.pc) to t.ut_ptr.(st.pc + 1) - 1 do
-        ux.(t.ut_step.(p)) <- ux.(t.ut_step.(p)) -. (t.ut_val.(p) *. xv)
-      done
-    end
-  done
+(* ---------- solves ----------
 
-(* Solve B^T y = c: forward-substitute U^T by scattering each pivot row,
-   then apply the transposed etas in reverse. *)
-let btran t ~c ~y =
-  let m = t.m in
-  let s = t.s in
-  Array.blit c 0 s 0 m;
-  for k = 0 to m - 1 do
+   FTRAN solves B x = b:  (E_{m-1} ... E_0) B = U, so z = E b, then
+   U x = z.  The L pass applies step k's eta only when z at its pivot
+   row is nonzero, and the U pass pushes each resolved component through
+   the transpose index, so both spend flops only where values are
+   nonzero.  BTRAN solves B^T y = c the same way round: forward U^T by
+   scattering pivot rows, then the transposed etas in reverse, push
+   form.
+
+   A pass need not visit every step either.  The L etas and the U^T
+   scatters feed only later steps, the U and L^T pushes only earlier
+   ones, so a heap that pops steps in the pass's own order (ascending
+   or descending) and is fed from the right-hand side's nonzeros and
+   each step's targets meets every step after all steps that can change
+   it, and in the same order as a loop over all m steps.  Skipped steps
+   hold zeros, which the loop would skip too: the flops and their order
+   are the loop's, so the result is the loop's bit for bit.  A zero can
+   come out with either sign, which no caller distinguishes. *)
+
+(* A pass that has visited this many steps finishes with the loop over
+   all remaining steps: a heap pop costs several times a loop step, so
+   past a tenth of the steps (where Hall and McKinnon also stop
+   exploiting hyper-sparsity) the loop is the cheaper way.  Where a pass
+   switches never changes the result. *)
+let dense_cutoff m = m / 10
+
+let heap_push t key =
+  let h = t.heap in
+  let i = ref t.hn in
+  t.hn <- t.hn + 1;
+  while !i > 0 && h.((!i - 1) / 2) > key do
+    h.(!i) <- h.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.(!i) <- key
+
+let heap_pop t =
+  let h = t.heap in
+  let top = h.(0) in
+  let n = t.hn - 1 in
+  t.hn <- n;
+  if n > 0 then begin
+    let key = h.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < key then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- key
+  end;
+  top
+
+let new_pass t =
+  t.gen <- t.gen + 1;
+  t.hn <- 0
+
+(* Queue step [k] once per pass, for an ascending or a descending pass. *)
+let queue_up t k =
+  if t.mark.(k) <> t.gen then begin
+    t.mark.(k) <- t.gen;
+    heap_push t k
+  end
+
+let queue_down t k =
+  if t.mark.(k) <> t.gen then begin
+    t.mark.(k) <- t.gen;
+    heap_push t (t.m - 1 - k)
+  end
+
+(* One step of each pass.  With [~queue] the step also queues the steps
+   it feeds. *)
+let l_step t k ~queue =
+  let z = t.z in
+  let st = t.steps.(k) in
+  let zr = z.(st.pr) in
+  zr <> 0.0
+  && begin
+       for p = 0 to Array.length st.l_idx - 1 do
+         let i = st.l_idx.(p) in
+         z.(i) <- z.(i) -. (st.l_val.(p) *. zr);
+         if queue then queue_up t t.step_of_row.(i)
+       done;
+       true
+     end
+
+let u_step t k ~x ~xidx n ~queue =
+  let ux = t.ux in
+  let acc = ux.(k) in
+  ux.(k) <- 0.0;
+  if acc = 0.0 then n
+  else begin
     let st = t.steps.(k) in
-    let sv = s.(st.pc) in
-    if sv <> 0.0 then begin
-      let wk = sv /. st.u_piv in
-      s.(st.pc) <- wk;
-      for p = 0 to Array.length st.u_idx - 1 do
-        s.(st.u_idx.(p)) <- s.(st.u_idx.(p)) -. (st.u_val.(p) *. wk)
-      done
+    let xv = acc /. st.u_piv in
+    x.(st.pc) <- xv;
+    xidx.(n) <- st.pc;
+    for p = t.ut_ptr.(st.pc) to t.ut_ptr.(st.pc + 1) - 1 do
+      let j = t.ut_step.(p) in
+      ux.(j) <- ux.(j) -. (t.ut_val.(p) *. xv);
+      if queue then queue_down t j
+    done;
+    n + 1
+  end
+
+let ut_step t k ~queue =
+  let s = t.s in
+  let st = t.steps.(k) in
+  let sv = s.(st.pc) in
+  sv <> 0.0
+  && begin
+       let wk = sv /. st.u_piv in
+       s.(st.pc) <- wk;
+       for p = 0 to Array.length st.u_idx - 1 do
+         let c = st.u_idx.(p) in
+         s.(c) <- s.(c) -. (st.u_val.(p) *. wk);
+         if queue then queue_up t t.step_of_slot.(c)
+       done;
+       true
+     end
+
+let lt_step t k ~y ~yidx n ~queue =
+  let st = t.steps.(k) in
+  let yv = y.(st.pr) in
+  if yv = 0.0 then n
+  else begin
+    yidx.(n) <- st.pr;
+    for p = t.lt_ptr.(st.pr) to t.lt_ptr.(st.pr + 1) - 1 do
+      let i = t.lt_tgt.(p) in
+      y.(i) <- y.(i) -. (t.lt_val.(p) *. yv);
+      if queue then queue_down t t.step_of_row.(i)
+    done;
+    n + 1
+  end
+
+(* Run the first pass of a solve from the right-hand side listed in
+   [idx.(0 .. n-1)], whose entries sit in the pass's own vector: [seed]
+   maps an entry to its step, [step] runs one step and says whether it
+   was nonzero, [clear] zeroes the vector at a step found zero.  Returns
+   the step where the full loop must take over, or [m] when the heap
+   finished the pass; the steps left nonzero are in [t.reach], their
+   count is returned second. *)
+let first_pass t ~limit ~idx ~n ~seed ~step ~clear =
+  if n > limit then (0, 0)
+  else begin
+    new_pass t;
+    for p = 0 to n - 1 do
+      queue_up t (seed idx.(p))
+    done;
+    let nr = ref 0 and visited = ref 0 and from = ref t.m in
+    while t.hn > 0 && !from = t.m do
+      let k = heap_pop t in
+      if !visited >= limit then from := k
+      else begin
+        incr visited;
+        if step t k ~queue:true then begin
+          t.reach.(!nr) <- k;
+          incr nr
+        end
+        else clear t k
+      end
+    done;
+    (!from, !nr)
+  end
+
+(* The full descending loop of a second pass from step [from] down;
+   [step k n] runs step [k] with [n] outputs so far and returns the new
+   count. *)
+let loop_down ~from ~step n =
+  let n = ref n in
+  for k = from downto 0 do
+    n := step k !n ~queue:false
+  done;
+  !n
+
+(* The descending second pass from the steps queued in the heap; the
+   full loop takes over once [limit] steps have been visited. *)
+let second_pass t ~limit ~step =
+  let n = ref 0 and visited = ref 0 and from = ref (-1) in
+  while t.hn > 0 && !from < 0 do
+    let k = t.m - 1 - heap_pop t in
+    if !visited >= limit then from := k
+    else begin
+      incr visited;
+      n := step k !n ~queue:true
     end
   done;
-  (* Scatter w (indexed by step) into row space via the pivot rows. *)
-  for k = 0 to m - 1 do
-    let st = t.steps.(k) in
-    y.(st.pr) <- s.(st.pc)
+  loop_down ~from:!from ~step !n
+
+let ftran_with t ~limit ~b ~bidx ~bn ~x ~xidx =
+  let m = t.m and z = t.z and ux = t.ux in
+  for p = 0 to bn - 1 do
+    z.(bidx.(p)) <- b.(bidx.(p))
   done;
-  (* L^T backward, push form: a row's final value feeds exactly the
-     steps whose L column references it, so zero components cost one
-     read. *)
-  for k = m - 1 downto 0 do
-    let st = t.steps.(k) in
-    let yv = y.(st.pr) in
-    if yv <> 0.0 then
-      for p = t.lt_ptr.(st.pr) to t.lt_ptr.(st.pr + 1) - 1 do
-        y.(t.lt_tgt.(p)) <- y.(t.lt_tgt.(p)) -. (t.lt_val.(p) *. yv)
-      done
-  done
+  let from, nr =
+    first_pass t ~limit ~idx:bidx ~n:bn
+      ~seed:(fun i -> t.step_of_row.(i))
+      ~step:l_step
+      ~clear:(fun t k -> z.(t.steps.(k).pr) <- 0.0)
+  in
+  let u_step k n ~queue = u_step t k ~x ~xidx n ~queue in
+  if from < m then begin
+    for k = from to m - 1 do
+      ignore (l_step t k ~queue:false)
+    done;
+    for k = 0 to m - 1 do
+      let pr = t.steps.(k).pr in
+      ux.(k) <- z.(pr);
+      z.(pr) <- 0.0
+    done;
+    loop_down ~from:(m - 1) ~step:u_step 0
+  end
+  else begin
+    new_pass t;
+    for q = 0 to nr - 1 do
+      let k = t.reach.(q) in
+      let pr = t.steps.(k).pr in
+      ux.(k) <- z.(pr);
+      z.(pr) <- 0.0;
+      queue_down t k
+    done;
+    second_pass t ~limit ~step:u_step
+  end
+
+let btran_with t ~limit ~c ~cidx ~cn ~y ~yidx =
+  let m = t.m and s = t.s in
+  for p = 0 to cn - 1 do
+    s.(cidx.(p)) <- c.(cidx.(p))
+  done;
+  let from, nr =
+    first_pass t ~limit ~idx:cidx ~n:cn
+      ~seed:(fun c -> t.step_of_slot.(c))
+      ~step:ut_step
+      ~clear:(fun t k -> s.(t.steps.(k).pc) <- 0.0)
+  in
+  let lt_step k n ~queue = lt_step t k ~y ~yidx n ~queue in
+  if from < m then begin
+    for k = from to m - 1 do
+      ignore (ut_step t k ~queue:false)
+    done;
+    for k = 0 to m - 1 do
+      let st = t.steps.(k) in
+      y.(st.pr) <- s.(st.pc);
+      s.(st.pc) <- 0.0
+    done;
+    loop_down ~from:(m - 1) ~step:lt_step 0
+  end
+  else begin
+    new_pass t;
+    for q = 0 to nr - 1 do
+      let st = t.steps.(t.reach.(q)) in
+      y.(st.pr) <- s.(st.pc);
+      s.(st.pc) <- 0.0;
+      queue_down t t.reach.(q)
+    done;
+    second_pass t ~limit ~step:lt_step
+  end
+
+let ftran t = ftran_with t ~limit:(dense_cutoff t.m)
+let btran t = btran_with t ~limit:(dense_cutoff t.m)
+let ftran_dense t = ftran_with t ~limit:(-1)
+let btran_dense t = btran_with t ~limit:(-1)

@@ -35,13 +35,27 @@ type t = {
   mutable n_eta : int;
   mutable eta_nnz : int;  (** total entries across the eta file *)
   mutable d_exact : bool;
-  (* scratch *)
-  rw : float array;  (** row space *)
-  sw : float array;  (** slot space *)
-  w : float array;  (** FTRAN result, slot space *)
-  wnz : int array;  (** nonzero slots of [w], ascending *)
+  (* Scratch.  Each solve vector comes with the list of its entries that
+     may be nonzero, so it is read, cleared and scanned through the list
+     instead of over all m entries. *)
+  rw : float array;  (** FTRAN right-hand side, row space, read at [rwi] *)
+  rwi : int array;
+  mutable n_rw : int;
+  sw : float array;  (** BTRAN right-hand side, slot space, 0 outside [swi] *)
+  swi : int array;
+  mutable n_sw : int;
+  w : float array;  (** FTRAN result, slot space, zero outside [wall] *)
+  wall : int array;
+  mutable n_wall : int;
+  wnz : int array;  (** slots where [|w| > drop], ascending *)
   mutable n_wnz : int;
-  rho : float array;  (** BTRAN result, row space *)
+  rho : float array;  (** BTRAN result, row space, zero outside [rall] *)
+  rall : int array;
+  mutable n_rall : int;
+  rnz : int array;  (** rows where [|rho| > drop], ascending *)
+  mutable n_rnz : int;
+  smark : int array;  (** slot -> generation of the list that holds it *)
+  mutable sgen : int;
   alpha : float array;  (** pivot row, length n *)
   astamp : int array;
   mutable stamp : int;
@@ -51,7 +65,8 @@ type t = {
   mutable bland : bool;
   mutable stall : int;
   mutable iters_left : int;
-  mutable deadline : float;  (** Sys.time instant; [infinity] disables *)
+  mutable deadline : float;
+      (** [Unix.gettimeofday] instant; [infinity] disables *)
   (* counters *)
   mutable c_pivots : int;
   mutable c_flips : int;
@@ -189,11 +204,23 @@ let create ~nvars ~obj ~lower ~upper ~rows =
     eta_nnz = 0;
     d_exact = false;
     rw = Array.make m 0.0;
+    rwi = Array.make m 0;
+    n_rw = 0;
     sw = Array.make m 0.0;
+    swi = Array.make m 0;
+    n_sw = 0;
     w = Array.make m 0.0;
+    wall = Array.make m 0;
+    n_wall = 0;
     wnz = Array.make m 0;
     n_wnz = 0;
     rho = Array.make m 0.0;
+    rall = Array.make m 0;
+    n_rall = 0;
+    rnz = Array.make m 0;
+    n_rnz = 0;
+    smark = Array.make m 0;
+    sgen = 0;
     alpha = Array.make n 0.0;
     astamp = Array.make n 0;
     stamp = 0;
@@ -237,32 +264,187 @@ let push_eta t e =
   t.n_eta <- t.n_eta + 1;
   t.eta_nnz <- t.eta_nnz + Array.length e.eidx
 
-(* Solve B x = rhs (row space -> slot space). *)
-let ftran_full t rhs x =
-  (match t.lu with Some lu -> Lu.ftran lu ~b:rhs ~x | None -> raise Fallback);
+(* Zero [v] at the [n] entries listed in [idx]. *)
+let clear v idx n =
+  for p = 0 to n - 1 do
+    v.(idx.(p)) <- 0.0
+  done
+
+(* Solve B w = rw for the rows listed in [rwi], through the LU factors
+   and then the eta file, whose columns may fill in slots the LU solve
+   left zero; [wall] lists every slot filled.  [~dense] runs the LU
+   solve's full loop, the reference for the test entry points. *)
+let ftran ?(dense = false) t =
+  let lu = match t.lu with Some lu -> lu | None -> raise Fallback in
+  let w = t.w in
+  clear w t.wall t.n_wall;
+  let solve = if dense then Lu.ftran_dense else Lu.ftran in
+  let n = ref (solve lu ~b:t.rw ~bidx:t.rwi ~bn:t.n_rw ~x:w ~xidx:t.wall) in
+  t.sgen <- t.sgen + 1;
+  let gen = t.sgen in
+  for p = 0 to !n - 1 do
+    t.smark.(t.wall.(p)) <- gen
+  done;
   for e = 0 to t.n_eta - 1 do
     let et = t.etas.(e) in
-    let xr = x.(et.er) in
+    let xr = w.(et.er) in
     if xr <> 0.0 then begin
       let tr = xr /. et.epiv in
       for p = 0 to Array.length et.eidx - 1 do
-        x.(et.eidx.(p)) <- x.(et.eidx.(p)) -. (et.eval_.(p) *. tr)
+        let k = et.eidx.(p) in
+        if t.smark.(k) <> gen then begin
+          t.smark.(k) <- gen;
+          t.wall.(!n) <- k;
+          incr n
+        end;
+        w.(k) <- w.(k) -. (et.eval_.(p) *. tr)
       done;
-      x.(et.er) <- tr
+      w.(et.er) <- tr
     end
-  done
+  done;
+  t.n_wall <- !n
 
-(* Solve B^T y = c (slot space, clobbered -> row space). *)
-let btran_full t c y =
+(* Position of slot [k] in an eta's ascending [eidx], or -1. *)
+let find_slot (eidx : int array) k =
+  let lo = ref 0 and hi = ref (Array.length eidx) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if eidx.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length eidx && eidx.(!lo) = k then !lo else -1
+
+(* A BTRAN right-hand side listing at most this many slots counts as
+   short: see {!btran}. *)
+let short_rhs = 64
+
+(* Solve B^T rho = sw for the slots listed in [swi], ascending: the eta
+   file in reverse, then the LU factors.  An eta writes its slot only
+   when the value is nonzero or the slot is listed already, so [sw]
+   stays zero outside [swi], and it is zero again on return.
+
+   Each eta takes the dot product of its column with [sw].  When the
+   right-hand side is short (a pivot row's starts as one slot), [swi] is
+   kept ascending and the product runs over the listed slots only,
+   found by bisection in the eta's ascending slots: the same nonzero
+   terms in the same order as the full product, at a cost that tracks
+   the listed slots instead of the eta's length.  [~dense] takes every
+   product in full and runs the LU solve's full loop, the reference for
+   the test entry points. *)
+let btran ?(dense = false) t =
+  let lu =
+    match t.lu with
+    | Some lu -> lu
+    | None ->
+      clear t.sw t.swi t.n_sw;
+      t.n_sw <- 0;
+      raise Fallback
+  in
+  let c = t.sw and swi = t.swi in
+  let n = ref t.n_sw in
+  let short = (not dense) && !n <= short_rhs in
+  t.sgen <- t.sgen + 1;
+  let gen = t.sgen in
+  for p = 0 to !n - 1 do
+    t.smark.(swi.(p)) <- gen
+  done;
   for e = t.n_eta - 1 downto 0 do
     let et = t.etas.(e) in
     let acc = ref c.(et.er) in
-    for p = 0 to Array.length et.eidx - 1 do
-      acc := !acc -. (et.eval_.(p) *. c.(et.eidx.(p)))
-    done;
-    c.(et.er) <- !acc /. et.epiv
+    if short && 16 * !n < Array.length et.eidx then
+      for q = 0 to !n - 1 do
+        let k = swi.(q) in
+        let p = find_slot et.eidx k in
+        if p >= 0 then acc := !acc -. (et.eval_.(p) *. c.(k))
+      done
+    else
+      for p = 0 to Array.length et.eidx - 1 do
+        acc := !acc -. (et.eval_.(p) *. c.(et.eidx.(p)))
+      done;
+    if !acc <> 0.0 || t.smark.(et.er) = gen then begin
+      c.(et.er) <- !acc /. et.epiv;
+      if t.smark.(et.er) <> gen then begin
+        t.smark.(et.er) <- gen;
+        (* Append, shifting larger slots up while the list is kept
+           ascending. *)
+        let i = ref !n in
+        while short && !i > 0 && swi.(!i - 1) > et.er do
+          swi.(!i) <- swi.(!i - 1);
+          decr i
+        done;
+        swi.(!i) <- et.er;
+        incr n
+      end
+    end
   done;
-  match t.lu with Some lu -> Lu.btran lu ~c ~y | None -> raise Fallback
+  clear t.rho t.rall t.n_rall;
+  let solve = if dense then Lu.btran_dense else Lu.btran in
+  t.n_rall <- solve lu ~c ~cidx:swi ~cn:!n ~y:t.rho ~yidx:t.rall;
+  clear c swi !n;
+  t.n_sw <- 0
+
+(* Sort [a.(0 .. n-1)], distinct ints, ascending in place. *)
+let sort_prefix (a : int array) n =
+  let rec go lo hi =
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let v = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && a.(!j) > v do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- v
+      done
+    else begin
+      let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi - 1) in
+      let pivot = Int.max (Int.min x y) (Int.min (Int.max x y) z) in
+      let i = ref lo and j = ref (hi - 1) in
+      while !i <= !j do
+        while a.(!i) < pivot do
+          incr i
+        done;
+        while a.(!j) > pivot do
+          decr j
+        done;
+        if !i <= !j then begin
+          let v = a.(!i) in
+          a.(!i) <- a.(!j);
+          a.(!j) <- v;
+          incr i;
+          decr j
+        end
+      done;
+      go lo (!j + 1);
+      go !i hi
+    end
+  in
+  go 0 n
+
+(* The entries of [v] listed in [idx.(0 .. n-1)] whose magnitude passes
+   [drop], ascending, into [dst]; returns their count.  A long list (or
+   [~scan]) is replaced by a scan over all of [v], which is then cheaper
+   than sorting and gives the same answer. *)
+let above_drop ?(scan = false) v idx n dst =
+  let k = ref 0 in
+  if scan || 32 * n > Array.length v then begin
+    for i = 0 to Array.length v - 1 do
+      if Float.abs v.(i) > drop then begin
+        dst.(!k) <- i;
+        incr k
+      end
+    done
+  end
+  else begin
+    for p = 0 to n - 1 do
+      let i = idx.(p) in
+      if Float.abs v.(i) > drop then begin
+        dst.(!k) <- i;
+        incr k
+      end
+    done;
+    sort_prefix dst !k
+  end;
+  !k
 
 (* Recompute basic values from scratch: xb = B^-1 (b - A_N x_N). *)
 let compute_xb t =
@@ -273,14 +455,27 @@ let compute_xb t =
       if v <> 0.0 then Csc.col_iter t.a j (fun i aij -> t.rw.(i) <- t.rw.(i) -. (aij *. v))
     end
   done;
-  ftran_full t t.rw t.xb
+  t.n_rw <- 0;
+  for i = 0 to t.m - 1 do
+    if t.rw.(i) <> 0.0 then begin
+      t.rwi.(t.n_rw) <- i;
+      t.n_rw <- t.n_rw + 1
+    end
+  done;
+  ftran t;
+  Array.blit t.w 0 t.xb 0 t.m
 
 (* Recompute reduced costs exactly for the current cost vector. *)
 let compute_d t =
   for k = 0 to t.m - 1 do
-    t.sw.(k) <- t.cost.(t.basis.(k))
+    let c = t.cost.(t.basis.(k)) in
+    if c <> 0.0 then begin
+      t.sw.(k) <- c;
+      t.swi.(t.n_sw) <- k;
+      t.n_sw <- t.n_sw + 1
+    end
   done;
-  btran_full t t.sw t.rho;
+  btran t;
   for j = 0 to t.n - 1 do
     t.d.(j) <-
       (if t.inbasis.(j) >= 0 then 0.0
@@ -290,7 +485,10 @@ let compute_d t =
 
 let refactor t =
   t.c_refactor <- t.c_refactor + 1;
-  t.lu <- Some (Lu.factor ~m:t.m (fun k f -> Csc.col_iter t.a t.basis.(k) f));
+  t.lu <-
+    Some
+      (Lu.factor ?reuse:t.lu ~m:t.m (fun k f ->
+           Csc.col_iter t.a t.basis.(k) f));
   t.n_eta <- 0;
   t.eta_nnz <- 0;
   compute_xb t;
@@ -305,44 +503,45 @@ let refactor_due t =
   t.n_eta > 128 || t.eta_nnz > lu_nnz + (2 * t.m)
 
 (* Pivot row alpha = rho^T A, accumulated sparsely through the CSR rows
-   where rho is nonzero; [touched] records which entries are live. *)
+   where rho is nonzero, in ascending row order; [touched] records which
+   entries are live. *)
 let compute_alpha t =
   t.stamp <- t.stamp + 1;
   t.n_touched <- 0;
   let stamp = t.stamp in
-  for i = 0 to t.m - 1 do
+  for p = 0 to t.n_rnz - 1 do
+    let i = t.rnz.(p) in
     let ri = t.rho.(i) in
-    if Float.abs ri > drop then
-      Csc.row_iter t.a i (fun j v ->
-          if t.astamp.(j) <> stamp then begin
-            t.astamp.(j) <- stamp;
-            t.alpha.(j) <- 0.0;
-            t.touched.(t.n_touched) <- j;
-            t.n_touched <- t.n_touched + 1
-          end;
-          t.alpha.(j) <- t.alpha.(j) +. (ri *. v))
+    Csc.row_iter t.a i (fun j v ->
+        if t.astamp.(j) <> stamp then begin
+          t.astamp.(j) <- stamp;
+          t.alpha.(j) <- 0.0;
+          t.touched.(t.n_touched) <- j;
+          t.n_touched <- t.n_touched + 1
+        end;
+        t.alpha.(j) <- t.alpha.(j) +. (ri *. v))
   done
 
-(* FTRAN of structural column q into t.w; [wnz] collects the nonzero
-   slots so the ratio test, xb update and eta construction touch only
-   them instead of scanning all m slots. *)
-let ftran_col t q =
-  Array.fill t.rw 0 t.m 0.0;
-  Csc.col_iter t.a q (fun i v -> t.rw.(i) <- t.rw.(i) +. v);
-  ftran_full t t.rw t.w;
-  t.n_wnz <- 0;
-  for k = 0 to t.m - 1 do
-    if Float.abs t.w.(k) > drop then begin
-      t.wnz.(t.n_wnz) <- k;
-      t.n_wnz <- t.n_wnz + 1
-    end
-  done
+(* FTRAN of structural column q into t.w; [wnz] collects the slots above
+   [drop] so the ratio test, xb update and eta construction touch only
+   them instead of scanning all m slots.  [~dense] runs the dense
+   reference, for the test entry points. *)
+let ftran_col ?(dense = false) t q =
+  t.n_rw <- 0;
+  Csc.col_iter t.a q (fun i v ->
+      t.rw.(i) <- v;
+      t.rwi.(t.n_rw) <- i;
+      t.n_rw <- t.n_rw + 1);
+  ftran ~dense t;
+  t.n_wnz <- above_drop ~scan:dense t.w t.wall t.n_wall t.wnz
 
-(* Pivot-row BTRAN: rho = B^-T e_r. *)
-let btran_row t r =
-  Array.fill t.sw 0 t.m 0.0;
+(* Pivot-row BTRAN: rho = B^-T e_r, and [rnz] for {!compute_alpha}. *)
+let btran_row ?(dense = false) t r =
   t.sw.(r) <- 1.0;
-  btran_full t t.sw t.rho
+  t.swi.(0) <- r;
+  t.n_sw <- 1;
+  btran ~dense t;
+  t.n_rnz <- above_drop ~scan:dense t.rho t.rall t.n_rall t.rnz
 
 (* Shared pivot bookkeeping once the entering column's FTRAN [t.w], the
    leaving slot [r], the entering direction [sig] and the step [tstep]
@@ -1011,3 +1210,22 @@ let restore t s =
     t.solved_once <- true;
     true
   end
+
+(* ---------- test entry points ---------- *)
+
+let with_factor name t f =
+  if Option.is_none t.lu then
+    invalid_arg ("Revised." ^ name ^ ": no factorization");
+  f ()
+
+let ftran_column ?(dense = false) t q =
+  if q < 0 || q >= t.n then invalid_arg "Revised.ftran_column: bad column";
+  with_factor "ftran_column" t @@ fun () ->
+  ftran_col ~dense t q;
+  (Array.copy t.w, Array.sub t.wnz 0 t.n_wnz)
+
+let btran_unit ?(dense = false) t k =
+  if k < 0 || k >= t.m then invalid_arg "Revised.btran_unit: bad slot";
+  with_factor "btran_unit" t @@ fun () ->
+  btran_row ~dense t k;
+  (Array.copy t.rho, Array.sub t.rnz 0 t.n_rnz)

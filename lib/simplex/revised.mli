@@ -116,3 +116,27 @@ type counters = {
 val counters : t -> counters
 (** Cumulative work counters since {!create}; also flushed to the
     [sdnplace_simplex_*] telemetry series after every solve. *)
+
+(** {2 Test entry points}
+
+    The two per-pivot solves, run against the instance's current
+    factorization and eta file, so tests can compare them with the dense
+    reference.  No solve calls these.  Both raise [Invalid_argument] when
+    the instance holds no factorization (before its first solve or after
+    {!restore}) or the index is out of range, and both overwrite the
+    instance's solve scratch, which the next solve recomputes. *)
+
+val ftran_column : ?dense:bool -> t -> int -> float array * int array
+(** [ftran_column t j] solves [B w = a_j] for column [j] of the augmented
+    matrix (the structurals, then one slack and one artificial per row)
+    and returns [w] (basis-slot space) with the slots where
+    [|w| > 1e-11], ascending: the list the ratio test, the basic-value
+    update and the new eta walk.  With [~dense:true] it runs the dense
+    reference instead: {!Lu.ftran_dense} and a scan of all [m] slots. *)
+
+val btran_unit : ?dense:bool -> t -> int -> float array * int array
+(** [btran_unit t k] solves [B^T rho = e_k] for basis slot [k] and
+    returns [rho] (row space) with the rows where [|rho| > 1e-11],
+    ascending: the rows the pivot row [rho^T A] is summed over, in that
+    order.  [~dense:true] runs the dense reference: full dot products
+    with every eta column, {!Lu.btran_dense} and a full scan. *)

@@ -143,9 +143,10 @@ let test_lu_roundtrip () =
           (k, 4.0 +. Prng.float g 2.0) :: off)
     in
     let lu = Lu.factor ~m (fun k f -> List.iter (fun (i, v) -> f i v) cols.(k)) in
+    let all = Array.init m Fun.id in
     let b = Array.init m (fun _ -> Prng.float g 2.0 -. 1.0) in
     let x = Array.make m 0.0 in
-    Lu.ftran lu ~b ~x;
+    ignore (Lu.ftran lu ~b ~bidx:all ~bn:m ~x ~xidx:(Array.make m 0));
     (* B x = sum_k x_k * col_k must reproduce b. *)
     let bx = Array.make m 0.0 in
     Array.iteri
@@ -160,7 +161,7 @@ let test_lu_roundtrip () =
       b;
     let c = Array.init m (fun _ -> Prng.float g 2.0 -. 1.0) in
     let y = Array.make m 0.0 in
-    Lu.btran lu ~c ~y;
+    ignore (Lu.btran lu ~c ~cidx:all ~cn:m ~y ~yidx:(Array.make m 0));
     (* B^T y: column k dotted with y must reproduce c_k. *)
     Array.iteri
       (fun k col ->
@@ -202,6 +203,221 @@ let covering_instance () =
 let objective_of name = function
   | Revised.Optimal { objective; _ } -> objective
   | _ -> Alcotest.failf "%s: expected optimal" name
+
+(* ---------------- hypersparse solves vs the dense loop ---------------- *)
+
+(* The hypersparse FTRAN/BTRAN must return what the full loops over all
+   m steps return: the same flops in the same order, so the same bits,
+   except that a zero may carry either sign (which [Float.equal] ignores
+   and no caller can observe).  Returned index lists must name exactly
+   the nonzero entries. *)
+
+let same_vector a b =
+  Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+(* [idx.(0 .. n-1)] names each nonzero entry of [v] exactly once. *)
+let lists_nonzeros v idx n =
+  let listed = Array.make (Array.length v) false in
+  let ok = ref true in
+  for p = 0 to n - 1 do
+    if listed.(idx.(p)) then ok := false;
+    listed.(idx.(p)) <- true
+  done;
+  Array.iteri (fun i x -> if x <> 0.0 && not listed.(i) then ok := false) v;
+  !ok
+
+(* A slack-heavy basis as the simplex sees one: mostly unit columns, a
+   few structural columns with a dominant diagonal (so the basis is
+   nonsingular) and off-diagonal entries that give the factors real
+   reach.  One case in four also chains each column to the next row, so
+   a solve can reach most steps and must switch to the full loop
+   midway. *)
+let slack_heavy_basis g m =
+  let chain = Prng.int g 4 = 0 in
+  Array.init m (fun k ->
+      let next = if chain && k + 1 < m then [ (k + 1, 1.0) ] else [] in
+      if Prng.int g 100 < 80 then
+        ((k, if Prng.bool g then 4.0 else -4.0) :: next)
+      else
+        (k, 4.0 +. Prng.float g 2.0)
+        :: next
+        @ List.filter_map
+            (fun _ ->
+              let i = Prng.int g m in
+              if i = k || i = k + 1 then None
+              else Some (i, Prng.float g 1.0 -. 0.5))
+            (List.init (1 + Prng.int g 3) Fun.id))
+
+(* A sparse right-hand side: usually a few entries, sometimes dense
+   enough that the solve falls back to the full loop. *)
+let sparse_rhs g m =
+  let nz = if Prng.int g 4 = 0 then 1 + Prng.int g m else 1 + Prng.int g 3 in
+  let v = Array.make m 0.0 and idx = Array.make m 0 and n = ref 0 in
+  for _ = 1 to nz do
+    let i = Prng.int g m in
+    if v.(i) = 0.0 then begin
+      v.(i) <- Prng.float g 2.0 -. 1.0;
+      idx.(!n) <- i;
+      incr n
+    end
+  done;
+  (v, idx, !n)
+
+let qcheck_lu_hypersparse =
+  QCheck.Test.make ~count:200 ~name:"LU hypersparse solves = dense loop"
+    QCheck.small_nat (fun seed ->
+      let g = Prng.create (seed + 5000) in
+      let m = Prng.int_in g 2 300 in
+      let cols = slack_heavy_basis g m in
+      let lu =
+        Lu.factor ~m (fun k f -> List.iter (fun (i, v) -> f i v) cols.(k))
+      in
+      let ok = ref true in
+      for _ = 1 to 8 do
+        let b, bidx, bn = sparse_rhs g m in
+        let solve f =
+          let x = Array.make m 0.0 and xidx = Array.make m 0 in
+          let n = f lu ~b ~bidx ~bn ~x ~xidx in
+          if not (lists_nonzeros x xidx n) then ok := false;
+          x
+        in
+        let bt f =
+          let y = Array.make m 0.0 and yidx = Array.make m 0 in
+          let n = f lu ~c:b ~cidx:bidx ~cn:bn ~y ~yidx in
+          if not (lists_nonzeros y yidx n) then ok := false;
+          y
+        in
+        let b0 = Array.copy b in
+        if not (same_vector (solve Lu.ftran) (solve Lu.ftran_dense)) then
+          ok := false;
+        if not (same_vector (bt Lu.btran) (bt Lu.btran_dense)) then ok := false;
+        if not (same_vector b b0) then ok := false
+      done;
+      !ok)
+
+(* Revised's tolerance for the nonzero lists it walks. *)
+let drop = 1e-11
+
+let ascending_above_drop v =
+  let l = ref [] in
+  for i = Array.length v - 1 downto 0 do
+    if Float.abs v.(i) > drop then l := i :: !l
+  done;
+  Array.of_list !l
+
+(* A random sparse LP over [0,1] boxes whose all-slack start needs some
+   artificials, stopped after a few iterations so the factorization
+   usually carries an eta file. *)
+let partial_solve seed =
+  let g = Prng.create (seed + 7000) in
+  let n = Prng.int_in g 4 150 and m = Prng.int_in g 2 200 in
+  let rows =
+    Array.init m (fun _ ->
+        let terms =
+          List.init (1 + Prng.int g 4) (fun _ ->
+              (Prng.int g n, float_of_int (Prng.int_in g 1 4)))
+        in
+        match Prng.int g 3 with
+        | 0 -> (terms, Revised.Ge, 1.0)
+        | 1 -> (terms, Revised.Le, float_of_int (Prng.int_in g 1 6))
+        | _ -> (terms, Revised.Eq, float_of_int (Prng.int_in g 0 2)))
+  in
+  let obj = List.init n (fun j -> (j, float_of_int (Prng.int_in g (-3) 5))) in
+  let t =
+    Revised.create ~nvars:n ~obj ~lower:(Array.make n 0.0)
+      ~upper:(Array.make n 1.0) ~rows
+  in
+  ignore (Revised.optimize ~max_iters:(1 + Prng.int g 40) t);
+  (t, n + m + m, m)
+
+let qcheck_revised_hypersparse =
+  QCheck.Test.make ~count:200
+    ~name:"Revised FTRAN/BTRAN through the eta file = dense reference"
+    QCheck.small_nat (fun seed ->
+      let t, ncols, m = partial_solve seed in
+      match Revised.ftran_column t 0 with
+      (* No factorization: the solve hit a singular basis. *)
+      | exception Invalid_argument _ -> true
+      | _ ->
+        let ok = ref true in
+        let check (v, nz) (v', nz') =
+          if not (same_vector v v') then ok := false;
+          if nz <> nz' || nz <> ascending_above_drop v then ok := false
+        in
+        let g = Prng.create seed in
+        for _ = 1 to 40 do
+          let q = Prng.int g ncols and k = Prng.int g m in
+          check (Revised.ftran_column t q)
+            (Revised.ftran_column ~dense:true t q);
+          check (Revised.btran_unit t k) (Revised.btran_unit ~dense:true t k)
+        done;
+        !ok)
+
+(* The property above is only as strong as its eta files: most of its
+   cases must stop with product-form etas on top of the LU factors. *)
+let test_differential_covers_etas () =
+  let with_etas = ref 0 in
+  for seed = 0 to 99 do
+    let t, _, _ = partial_solve seed in
+    if (Revised.counters t).Revised.eta_len > 0 then incr with_etas
+  done;
+  if !with_etas < 50 then
+    Alcotest.failf "only %d of 100 cases carry an eta file" !with_etas
+
+(* ---------------- pinned pivot path ----------------------------------- *)
+
+(* The LP relaxation of one fixed placement model, solved cold.  Its
+   counters and objective were recorded before the solves went
+   hypersparse; any change to the solve arithmetic (a different pivot,
+   flip or refactorization anywhere on the path) shows up here. *)
+let placement_lp family =
+  let layout = Placement.Layout.build (Workload.build family) in
+  let model, _ = Placement.Encode.to_model layout in
+  let n = Ilp.Model.num_vars model in
+  let term (c, v) = ((v : Ilp.Model.var :> int), c) in
+  let rows =
+    Array.of_list
+      (List.map
+         (fun (r : Ilp.Model.row) ->
+           ( List.map term r.terms,
+             (match r.sense with
+             | Ilp.Model.Le -> Revised.Le
+             | Ilp.Model.Ge -> Revised.Ge
+             | Ilp.Model.Eq -> Revised.Eq),
+             r.rhs ))
+         (Ilp.Model.rows model))
+  in
+  Revised.create ~nvars:n
+    ~obj:(List.map term (Ilp.Model.objective model))
+    ~lower:(Array.make n 0.0) ~upper:(Array.make n 1.0) ~rows
+
+let test_pinned_pivot_path () =
+  let lp =
+    placement_lp
+      { Workload.default with Workload.k = 8; paths = 256; capacity = 140 }
+  in
+  Alcotest.(check (float 0.0))
+    "objective" 64.0
+    (objective_of "k8 r20 p256 C140" (Revised.optimize lp));
+  let c = Revised.counters lp in
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("pivots", 4726);
+      ("bound_flips", 62);
+      ("iterations", 4792);
+      ("refactorizations", 37);
+      ("eta_len", 82);
+      ("cold_falls", 0);
+    ]
+    [
+      ("pivots", c.Revised.pivots);
+      ("bound_flips", c.bound_flips);
+      ("iterations", c.iterations);
+      ("refactorizations", c.refactorizations);
+      ("eta_len", c.eta_len);
+      ("cold_falls", c.cold_falls);
+    ]
 
 let test_dual_reoptimize () =
   let t = covering_instance () in
@@ -376,6 +592,12 @@ let suite =
     Alcotest.test_case "LU factor/ftran/btran roundtrip" `Quick
       test_lu_roundtrip;
     Alcotest.test_case "LU rejects singular bases" `Quick test_lu_singular;
+    qtest qcheck_lu_hypersparse;
+    qtest qcheck_revised_hypersparse;
+    Alcotest.test_case "hypersparse differential covers eta files" `Quick
+      test_differential_covers_etas;
+    Alcotest.test_case "pinned pivot path of a placement LP" `Quick
+      test_pinned_pivot_path;
     Alcotest.test_case "dual reoptimize after bound pinning" `Quick
       test_dual_reoptimize;
     qtest qcheck_reoptimize_matches_cold;
